@@ -15,8 +15,8 @@ data point behind:
 * ``reorg_20k``     — full three-pass reorganization (compact, swap,
   shrink + switch) of a 20k-record sparse tree with one-way side pointers.
 * ``reorg_20k_batched``    — the same reorganization with the batched-I/O
-  layer on (group-commit WAL, elevator write-back, readahead, seek-aware
-  pass 2, leaf-chain cache).  Must produce the same tree.
+  layer on (group-commit WAL, elevator write-back, readahead).  Must
+  produce the same tree.
 * ``range_scan_e6`` / ``range_scan_e6_batched`` — the E6 scenario: a full
   range scan of a randomly-grown (disk-disordered) tree through a small
   buffer pool, without and with readahead.  The check values carry the
@@ -75,6 +75,7 @@ from repro.config import (
     TreeConfig,
 )
 from repro.db import Database
+from repro.perf import PERF
 from repro.reorg.protocols import ReorgProtocol, full_reorganization
 from repro.reorg.reorganizer import Reorganizer
 from repro.shard import ParallelReorganizer, ShardedDatabase
@@ -84,11 +85,6 @@ from repro.sim.workload import WorkloadConfig
 from repro.storage.page import Record
 from repro.txn.scheduler import Scheduler
 
-try:  # perf counters land in PR 1; the harness predates them on seed code.
-    from repro.perf import PERF
-except ImportError:  # pragma: no cover - seed-baseline capture only
-    PERF = None
-
 
 # -- workloads ---------------------------------------------------------------
 
@@ -97,10 +93,7 @@ except ImportError:  # pragma: no cover - seed-baseline capture only
 BATCHED_FLAGS = dict(
     group_commit_window=64,
     elevator_writeback=True,
-    writeback_batch=8,
     readahead_pages=16,
-    seek_aware_pass2=True,
-    reorg_chain_cache=True,
 )
 
 
@@ -789,7 +782,6 @@ def run_churn_daemon(
        must hold degradation within ``on_limit``.  Both cells must end
        with identical records (digest-checked).
     """
-    assert PERF is not None, "churn_daemon needs the perf registry"
     t0 = time.perf_counter()
 
     # -- cell 1: gapped vs gapless bulk load + insert churn ------------------
@@ -968,11 +960,9 @@ def run_suite(
         best: dict | None = None
         walls: list[float] = []
         for _ in range(max(1, repeats)):
-            if PERF is not None:
-                PERF.reset()
+            PERF.reset()
             out = fn(**overrides.get(name, {}))
-            if PERF is not None:
-                out["counters"] = PERF.counters.snapshot()
+            out["counters"] = PERF.counters.snapshot()
             walls.append(out["wall_s"])
             if best is not None and best["checks"] != out["checks"]:
                 raise AssertionError(

@@ -230,7 +230,7 @@ class BPlusTree:
             out.extend(leaf.records_in_range(low, high))
             if not leaf.is_empty and leaf.max_key() > high:
                 return out
-            next_id = self._successor_or_no_page(leaf)
+            next_id = self.successor_leaf_id(leaf)
             if next_id == NO_PAGE:
                 return out
             if readahead:
@@ -296,7 +296,7 @@ class BPlusTree:
         leaf = self.store.get_leaf(self.leftmost_leaf_id())
         while True:
             yield from leaf.records
-            next_id = self._successor_or_no_page(leaf)
+            next_id = self.successor_leaf_id(leaf)
             if next_id == NO_PAGE:
                 return
             leaf = self.store.get_leaf(next_id)
@@ -368,9 +368,6 @@ class BPlusTree:
         if leaf.is_empty:
             return NO_PAGE
         return self._next_leaf_by_descent(leaf)
-
-    # Backwards-compatible internal alias.
-    _successor_or_no_page = successor_leaf_id
 
     def record_count(self) -> int:
         """Total records, summing per-leaf counts along the leaf walk

@@ -94,25 +94,14 @@ class TreeConfig:
             order during ``flush_all``/checkpoint and under eviction
             pressure, so bulk write-back pays mostly sequential write cost.
             Careful-writing dest-before-source edges and the WAL rule are
-            still honoured inside the sweep.  False keeps the historical
+            still honoured inside the sweep; one eviction-pressure sweep
+            drains up to 8 dirty frames.  False keeps the historical
             LRU/insertion-order write-back.
-        writeback_batch: how many dirty frames one eviction-pressure sweep
-            drains when ``elevator_writeback`` is on.  Ignored otherwise.
         readahead_pages: maximum pages per multi-page batch read
             (``SimulatedDisk.read_batch``).  Range scans and the reorg
             passes prefetch upcoming pages in batches of at most this many;
             a batch is charged one seek plus N-1 sequential reads.  0
             disables readahead entirely (no batch reads, no prefetch).
-        seek_aware_pass2: schedule pass-2 moves/swaps in ascending
-            source-page sweep order (an elevator pass over the pending
-            leaves) instead of key order, minimising simulated head
-            movement.  The resulting tree is identical; only the order of
-            units — and hence the I/O pattern — changes.
-        reorg_chain_cache: maintain the key-order leaf chain incrementally
-            across reorganization units instead of re-sweeping the internal
-            level once per unit — the CPU-side analogue of the batched disk
-            sweeps, and the main wall-clock lever of the batched-I/O
-            configuration.  Only the synchronous pass drivers enable it.
         optimistic_reads: route DES point reads and range scans through the
             latch-free optimistic protocol (:mod:`repro.btree.protocols`):
             readers descend without locks, validating the buffer pool's
@@ -157,10 +146,7 @@ class TreeConfig:
     sanitizer: bool = False
     group_commit_window: int = 0
     elevator_writeback: bool = False
-    writeback_batch: int = 8
     readahead_pages: int = 0
-    seek_aware_pass2: bool = False
-    reorg_chain_cache: bool = False
     optimistic_reads: bool = False
     race_detector: bool = False
     placement_policy: PlacementPolicyKind = PlacementPolicyKind.KEY_ORDER
@@ -182,8 +168,6 @@ class TreeConfig:
             raise ValueError("seek_cost must be >= 1.0 (sequential cost is 1.0)")
         if self.group_commit_window < 0:
             raise ValueError("group_commit_window must be >= 0 (0 disables)")
-        if self.writeback_batch < 1:
-            raise ValueError("writeback_batch must be >= 1")
         if self.readahead_pages < 0:
             raise ValueError("readahead_pages must be >= 0 (0 disables)")
         if not 0.0 <= self.leaf_gap_fraction < 1.0:

@@ -91,22 +91,12 @@ class SwapMovePass:
         root = self.db.store.get(self.tree.root_id)
         if root.kind is PageKind.LEAF:
             return stats  # a single-leaf tree is trivially in order
-        use_cache = self.db.config.reorg_chain_cache
-        if use_cache:
-            self.engine.enable_chain_cache()
-        try:
-            if self.db.config.seek_aware_pass2:
-                self._run_seek_aware(stats)
-            else:
-                self._run_key_order(stats)
-        finally:
-            if use_cache:
-                self.engine.disable_chain_cache()
+        self._run_key_order(stats)
         return stats
 
     def _run_key_order(self, stats: Pass2Stats) -> None:
         """The paper's ordering: drive leaf i to slot i, for i ascending."""
-        chain = self.engine.leaf_chain()
+        chain = self.tree.leaf_ids_in_key_order()
         slots = self._leaf_slots(len(chain))
         position = {pid: i for i, pid in enumerate(chain)}
         for index in range(len(chain)):
@@ -133,74 +123,6 @@ class SwapMovePass:
                 position[target] = index
                 position[current] = occupant_index
                 stats.swaps += 1
-
-    def _run_seek_aware(self, stats: Pass2Stats) -> None:
-        """Seek-minimizing ordering: the same moves/swaps, elevator-style.
-
-        The key-order schedule jumps the disk head around — leaf ``i`` may
-        live anywhere in the extent, so consecutive units touch distant
-        pages.  This variant keeps the *placement* invariant (leaf ``i``
-        ends at its policy-assigned slot) but picks the order of units to
-        sweep ascending over the **source** page ids:
-
-        1. repeatedly sweep the still-misplaced leaves in ascending order
-           of their current page, MOVE-ing any whose target slot is free
-           (each move can free another leaf's target, so sweep until a
-           full pass makes no progress);
-        2. when no move is possible every remaining leaf's target is held
-           by another remaining leaf (the misplaced leaves form cycles) —
-           break one with a SWAP at the smallest pending index, then go
-           back to sweeping.
-
-        Every step places at least one leaf, so the pass terminates with
-        exactly the same final layout as the key-order schedule.
-        """
-        chain = self.engine.leaf_chain()
-        slots = self._leaf_slots(len(chain))
-        cur = list(chain)  # cur[i]: page currently holding leaf i
-        page_to_index = {pid: i for i, pid in enumerate(cur)}
-        pending = {i for i, pid in enumerate(cur) if pid != slots[i]}
-        stats.already_placed += len(cur) - len(pending)
-        while pending:
-            # 1. Elevator sweeps of MOVEs, ascending source page id.
-            progressed = True
-            while progressed and pending:
-                progressed = False
-                for index in sorted(pending, key=lambda i: cur[i]):
-                    target = slots[index]
-                    if not self.db.store.free_map.is_free(target):
-                        continue
-                    source = cur[index]
-                    self._move(source, target)
-                    page_to_index.pop(source, None)
-                    page_to_index[target] = index
-                    cur[index] = target
-                    pending.discard(index)
-                    stats.moves += 1
-                    progressed = True
-            if not pending:
-                break
-            # 2. All remaining targets are occupied by pending leaves:
-            # break a cycle with one swap at the smallest pending index.
-            index = min(pending)
-            target = slots[index]
-            occupant = page_to_index.get(target)
-            if occupant is None or occupant not in pending:
-                raise ReorgError(
-                    f"page {target} is allocated but not a misplaced leaf "
-                    f"of this tree; cannot place leaf {cur[index]}"
-                )
-            source = cur[index]
-            self._swap(source, target)
-            cur[index], cur[occupant] = target, source
-            page_to_index[target] = index
-            page_to_index[source] = occupant
-            pending.discard(index)
-            if cur[occupant] == slots[occupant]:
-                # Leaf ``index`` was sitting on the occupant's own target,
-                # so the swap placed both ends of a 2-cycle.
-                pending.discard(occupant)
-            stats.swaps += 1
 
     def _parent_of(self, leaf_id: PageId) -> PageId:
         leaf = self.db.store.get_leaf(leaf_id)

@@ -80,68 +80,6 @@ class UnitEngine:
         self._unit_ids = itertools.count(1)
         #: Stash for keys-only MOVE records within the current unit.
         self._stash: MoveStash = {}
-        #: Incrementally maintained key-order leaf chain (None = off).
-        #: Enabled only by the synchronous pass drivers (TreeConfig
-        #: ``reorg_chain_cache``): side-pointer maintenance needs the chain
-        #: once per unit, and each unit changes it by one local splice or
-        #: swap, so re-sweeping the internal level every time is pure
-        #: overhead.  Recovery/undo paths invalidate it instead of
-        #: patching, and the DES protocols never enable it (concurrent
-        #: user transactions would mutate the chain underneath it).
-        self._chain: list[PageId] | None = None
-
-    # -- leaf-chain cache -----------------------------------------------------
-
-    def enable_chain_cache(self) -> None:
-        """Seed the cached chain from a full tree walk (pass drivers only)."""
-        self._chain = self.tree.leaf_ids_in_key_order()
-
-    def disable_chain_cache(self) -> None:
-        self._chain = None
-
-    def leaf_chain(self) -> list[PageId]:
-        """The key-order leaf chain — cached when enabled, walked otherwise.
-
-        Always a fresh list: units executed through this engine splice the
-        cache in place, so callers must not alias it.
-        """
-        if self._chain is not None:
-            return list(self._chain)
-        return self.tree.leaf_ids_in_key_order()
-
-    def _chain_splice(self, removed: set[PageId], inserted: list[PageId]) -> None:
-        """Replace the contiguous run of ``removed`` chain pages with
-        ``inserted`` (no-op with the cache off).
-
-        Compaction groups are consecutive children of one base page, hence
-        contiguous in the chain; if page state ever disagrees, fall back to
-        a full rebuild rather than serve a wrong chain.
-        """
-        chain = self._chain
-        if chain is None:
-            return
-        positions = [i for i, pid in enumerate(chain) if pid in removed]
-        if not positions:
-            self._chain = self.tree.leaf_ids_in_key_order()
-            return
-        lo, hi = positions[0], positions[-1]
-        if hi - lo + 1 != len(positions):
-            self._chain = self.tree.leaf_ids_in_key_order()
-            return
-        chain[lo : hi + 1] = inserted
-
-    def _chain_swap(self, leaf_a: PageId, leaf_b: PageId) -> None:
-        """Exchange two pages' chain positions (no-op with the cache off)."""
-        chain = self._chain
-        if chain is None:
-            return
-        try:
-            index_a = chain.index(leaf_a)
-            index_b = chain.index(leaf_b)
-        except ValueError:
-            self._chain = self.tree.leaf_ids_in_key_order()
-            return
-        chain[index_a], chain[index_b] = leaf_b, leaf_a
 
     # -- logging plumbing -----------------------------------------------------
 
@@ -386,10 +324,6 @@ class UnitEngine:
         dests: list[PageId],
     ) -> None:
         self._fix_base_multi(unit_id, base_page, sources, dests)
-        used_dests = [
-            d for d in dests if not self.store.free_map.is_free(d)
-        ]
-        self._chain_splice(set(sources), used_dests)
         self._fix_side_pointers_around(*dests)
         for source in sources:
             if self.store.free_map.is_free(source):
@@ -525,10 +459,6 @@ class UnitEngine:
     ) -> None:
         """Post the moves in the base page, fix pointers, free sources."""
         self._fix_base_after_compact(unit_id, base_page, sources, dest, dest_is_new)
-        # The base now maps the group's key range to dest alone; mirror
-        # that one splice in the cached chain before the side-pointer fix
-        # reads it.
-        self._chain_splice(set(sources), [dest])
         self._fix_side_pointers_around(dest)
         for source in sources:
             if source == dest or self.store.free_map.is_free(source):
@@ -664,11 +594,7 @@ class UnitEngine:
         if kind is SidePointerKind.NONE:
             return
         two_way = kind is SidePointerKind.TWO_WAY
-        chain = (
-            self._chain
-            if self._chain is not None
-            else self.tree.leaf_ids_in_key_order()
-        )
+        chain = self.tree.leaf_ids_in_key_order()
         position = {pid: i for i, pid in enumerate(chain)}
         affected: set[PageId] = set()
         for pid in leaves:
@@ -737,7 +663,6 @@ class UnitEngine:
     ) -> UnitResult:
         """Base MODIFYs (under X on both parents), side pointers, END."""
         self._fix_bases_after_swap(unit_id, base_a, leaf_a, base_b, leaf_b)
-        self._chain_swap(leaf_a, leaf_b)
         self._fix_side_pointers_around(leaf_a, leaf_b)
         largest = max(
             self._largest_key_of(leaf_a), self._largest_key_of(leaf_b)
@@ -861,7 +786,6 @@ class UnitEngine:
         state before acting), so re-running the remainder after redo has
         installed the logged prefix completes the unit exactly once.
         """
-        self.disable_chain_cache()  # derive from pages, not a stale cache
         self.resume_unit_ids_after(pending.unit_id)
         unit_id = pending.unit_id
         dest_pages = pending.dest_pages or (pending.dest_page,)
@@ -954,7 +878,6 @@ class UnitEngine:
         if freed_any:
             self.finish_unit(pending)
             return False
-        self.disable_chain_cache()
         self.resume_unit_ids_after(pending.unit_id)
         unit_id = pending.unit_id
         for record in reversed(pending.records):
@@ -1000,7 +923,6 @@ class UnitEngine:
         Only MOVE halves need inverting — a deadlock can only strike before
         the base page was X-locked, hence before any MODIFY was logged.
         """
-        self.disable_chain_cache()
         cursor = self.db.progress.recent_lsn_of(unit_id)
         inversions: list[tuple[PageId, PageId, tuple[int, ...]]] = []
         begin: ReorgBeginRecord | None = None

@@ -153,6 +153,37 @@ class TestWAL:
         assert wal.calls == []
         assert disk.stats.writes == 1  # only the setup write
 
+    def test_stable_page_flush_makes_no_wal_call_without_group_commit(self):
+        """With group commit off, flushing a page whose LSN is already
+        stable must not call into the log manager at all — the bookkeeping
+        that counts absorbed flushes belongs to the group-commit path only
+        (a per-flush log call regressed bulk_insert)."""
+        from repro.wal.log import LogManager
+        from repro.wal.records import LeafFormatRecord
+
+        def build(window):
+            disk = SimulatedDisk([Extent("leaf", 0, 8)])
+            log = LogManager(group_commit_window=window)
+            pool = BufferPool(disk, 4)
+            pool.set_wal(log)
+            calls = []
+            real_flush = log.flush
+            log.flush = lambda up_to=None: (calls.append(up_to), real_flush(up_to))[1]
+            page = LeafPage(0, 4)
+            pool.put_new(page)
+            lsn = log.append(LeafFormatRecord(page_id=0))
+            pool.mark_dirty(0, lsn)
+            real_flush()  # the page LSN is now stable before the page write
+            calls.clear()
+            pool.flush_page(0)
+            return log, calls
+
+        log_off, calls_off = build(0)
+        assert calls_off == [], "group-commit-off stable-page flush reached the WAL"
+        log_on, calls_on = build(8)
+        assert calls_on, "group commit must still see the request to absorb it"
+        assert log_on.stats.absorbed_flushes == 1
+
 
 class TestCarefulWriting:
     def test_source_flush_writes_destination_first(self):
