@@ -119,6 +119,7 @@ def build_upper_levels(
     on_page_built: Callable[[InternalPage], None] | None = None,
     start_level: int = 1,
     place: Callable[[int, int], PageId | None] | None = None,
+    tree_name: str = "primary",
 ) -> PageId:
     """Build internal levels over (key, child) entries; returns the root id.
 
@@ -129,6 +130,7 @@ def build_upper_levels(
     ``place(level, index)`` may name a specific free page for the
     ``index``-th page of ``level`` — the placement-policy hook pass 3 uses
     for vEB layout; None (per call or overall) keeps first-fit allocation.
+    ``tree_name`` names the tree the pages' Alloc records belong to.
     """
     if not entries:
         raise BTreeError("cannot build upper levels over zero entries")
@@ -144,7 +146,12 @@ def build_upper_levels(
             )
             _log_apply(
                 store, log,
-                AllocRecord(page_id=page.page_id, kind="internal", level=level),
+                AllocRecord(
+                    page_id=page.page_id,
+                    kind="internal",
+                    level=level,
+                    tree_name=tree_name,
+                ),
             )
             _log_apply(
                 store, log,
@@ -190,6 +197,8 @@ def bulk_load(
     if len(entries) == 1:
         root_id = entries[0][1]
     else:
-        root_id = build_upper_levels(store, log, entries, fill=internal_fill)
+        root_id = build_upper_levels(
+            store, log, entries, fill=internal_fill, tree_name=name
+        )
     store.disk.set_meta(f"root:{name}", root_id)
     return BPlusTree.attach(store, log, name=name)

@@ -517,7 +517,12 @@ class BPlusTree:
         lower, upper = entries[:mid], entries[mid:]
         new_page = self.store.allocate_internal(level=page.level)
         self._log_apply(
-            AllocRecord(page_id=new_page.page_id, kind="internal", level=page.level)
+            AllocRecord(
+                page_id=new_page.page_id,
+                kind="internal",
+                level=page.level,
+                tree_name=self.name,
+            )
         )
         self._log_apply(
             InternalFormatRecord(
@@ -551,7 +556,12 @@ class BPlusTree:
         level = 1 if left.kind is PageKind.LEAF else left.level + 1  # type: ignore[union-attr]
         new_root = self.store.allocate_internal(level=level)
         self._log_apply(
-            AllocRecord(page_id=new_root.page_id, kind="internal", level=level)
+            AllocRecord(
+                page_id=new_root.page_id,
+                kind="internal",
+                level=level,
+                tree_name=self.name,
+            )
         )
         self._log_apply(
             InternalFormatRecord(

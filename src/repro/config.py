@@ -80,10 +80,6 @@ class TreeConfig:
             (paper section 5, citing [LT95]).
         seek_cost: simulated cost of a non-sequential page read, used by the
             range-scan cost model.  A sequential read costs 1.0.
-        sanitizer: install the runtime lock/WAL sanitizer
-            (:mod:`repro.analysis.sanitizer`) when the database is built.
-            The patches are process-wide and strict (violations raise);
-            leave False outside tests — the off path costs nothing.
         group_commit_window: group-commit absorb window of the log manager,
             in LSNs.  A flush request for LSN L makes records up to
             L + window stable in one boundary advance, so nearby flush
@@ -113,11 +109,6 @@ class TreeConfig:
             where readers and the reorganizer actually collide.  Updaters
             and the reorganizer are unaffected.  Off, the read path is
             byte-identical to the historical locked protocol.
-        race_detector: install the hybrid lockset + happens-before data-race
-            detector (:mod:`repro.analysis.racedetect`) when the database is
-            built.  Non-strict: races are recorded on the active detector's
-            ``reports``, not raised.  Like the sanitizer, patches are
-            class-level and the off path is byte-identical.
         placement_policy: which :class:`PlacementPolicyKind` passes 2 and 3
             use to choose target page ids.  ``KEY_ORDER`` (the default) is
             byte-identical to the historical behaviour.
@@ -143,12 +134,10 @@ class TreeConfig:
     buffer_pool_pages: int = 256
     careful_writing: bool = True
     seek_cost: float = 10.0
-    sanitizer: bool = False
     group_commit_window: int = 0
     elevator_writeback: bool = False
     readahead_pages: int = 0
     optimistic_reads: bool = False
-    race_detector: bool = False
     placement_policy: PlacementPolicyKind = PlacementPolicyKind.KEY_ORDER
     leaf_gap_fraction: float = 0.0
 
@@ -323,12 +312,6 @@ class DaemonConfig:
             split count is the live proxy for *disk-order scatter* — the
             component of range-scan degradation that fill factor cannot
             see.  0 disables the split path (fill-threshold only).
-        optimistic_burst_threshold: defer a shard's reorg for one poll
-            when more than this many optimistic reads
-            (:data:`repro.btree.protocols.OPTIMISTIC_STATS` searches +
-            scans) completed since the previous poll — a reorg in the
-            middle of a read-heavy burst converts every latch-free read
-            into a locked fallback.  0 disables the deferral.
         max_triggers: stop triggering after this many daemon-initiated
             reorgs in total (0 = unbounded); the poll loop keeps
             sampling metrics either way.
@@ -340,7 +323,6 @@ class DaemonConfig:
     cooldown: float = 20.0
     min_leaves: int = 2
     split_trigger: int = 0
-    optimistic_burst_threshold: int = 0
     max_triggers: int = 0
 
     def __post_init__(self) -> None:
@@ -356,8 +338,6 @@ class DaemonConfig:
             raise ValueError("min_leaves must be >= 1")
         if self.split_trigger < 0:
             raise ValueError("split_trigger must be >= 0 (0 disables)")
-        if self.optimistic_burst_threshold < 0:
-            raise ValueError("optimistic_burst_threshold must be >= 0")
         if self.max_triggers < 0:
             raise ValueError("max_triggers must be >= 0 (0 = unbounded)")
 

@@ -18,32 +18,16 @@ reorganization bit, side file, last stable key, new-root location
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.btree.bulkload import bulk_load
 from repro.btree.tree import BPlusTree
 from repro.config import TreeConfig, gapped_leaf_fill
 from repro.locks.manager import LockManager
 from repro.metrics import FragmentationStats
-from repro.storage.page import PageId, Record
+from repro.storage.page import Record
 from repro.storage.store import StorageManager
 from repro.wal.log import LogManager
-from repro.wal.progress import ReorgProgressTable
+from repro.wal.progress import Pass3State, ProgressSnapshot, ReorgProgressTable
 from repro.wal.recovery import RecoveryManager, RecoveryReport, take_checkpoint
-
-
-@dataclass
-class Pass3State:
-    """Volatile pass-3 bookkeeping mirrored into checkpoints (section 7.3)."""
-
-    reorg_bit: bool = False
-    stable_key: int | None = None
-    new_root: PageId = -1
-    #: Live side-file entries (key, child, op); owned by the reorganizer's
-    #: SideFile object, mirrored here for checkpointing.
-    side_file_entries: list[tuple[int, PageId, str]] = field(default_factory=list)
-    #: New base pages closed so far by pass 3: (low key, page id).
-    built_entries: list[tuple[int, PageId]] = field(default_factory=list)
 
 
 class Database:
@@ -51,19 +35,6 @@ class Database:
 
     def __init__(self, config: TreeConfig | None = None):
         self.config = config or TreeConfig()
-        if self.config.sanitizer:
-            # Opt-in runtime protocol checks; patches are class-level, so
-            # installing before building the store shadows it from birth.
-            from repro.analysis.sanitizer import install
-
-            install()
-        if self.config.race_detector:
-            # Must also precede the store build: the optimistic-window
-            # hook wraps the instance-bound version_of shortcut that
-            # StorageManager.__init__ creates.
-            from repro.analysis.racedetect import install as install_race
-
-            install_race()
         self.store = StorageManager(self.config)
         self.log = LogManager(
             group_commit_window=self.config.group_commit_window
@@ -72,6 +43,9 @@ class Database:
         self.locks = LockManager()
         self.progress = ReorgProgressTable()
         self.pass3 = Pass3State()
+        #: The tree ``pass3`` belongs to: one tree at a time runs pass 3
+        #: here.  Pass 3 sets it when it starts; recovery, from the log.
+        self.pass3_tree = "primary"
         #: Count of simulated crashes, for tests/metrics.
         self.crashes = 0
         #: Per-tree-name live fragmentation trackers
@@ -143,11 +117,7 @@ class Database:
             self.log,
             active_txns=active_txns,
             progress=self.progress,
-            stable_key=self.pass3.stable_key,
-            new_root=self.pass3.new_root,
-            reorg_bit=self.pass3.reorg_bit,
-            side_file=self.pass3.side_file_entries,
-            pass3_built=self.pass3.built_entries,
+            pass3={self.pass3_tree: self.pass3},
         )
 
     def flush(self) -> None:
@@ -172,12 +142,10 @@ class Database:
         """Run redo + undo; restore the progress table and pass-3 state.
 
         Forward recovery of an in-flight reorganization unit is *not* done
-        here — the report's ``pending_unit`` is handed to
+        here — the report is handed to
         :meth:`repro.reorg.reorganizer.Reorganizer.forward_recover`.
         """
         report = RecoveryManager(self.store, self.log).run(undo=undo)
-        from repro.wal.progress import ProgressSnapshot
-
         units = tuple(
             (unit.unit_id, unit.records[0].lsn, unit.records[-1].lsn)
             for unit in report.pending_units
@@ -187,11 +155,9 @@ class Database:
         self.progress.restore(
             ProgressSnapshot(report.largest_finished_key, begin, recent, units)
         )
-        self.pass3 = Pass3State(
-            reorg_bit=report.reorg_bit,
-            stable_key=report.stable_key,
-            new_root=report.new_root,
-            side_file_entries=list(report.side_file),
-            built_entries=list(report.built_entries),
+        self.pass3_tree = next(
+            (name for name, tree in report.trees.items() if tree.pass3.reorg_bit),
+            "primary",
         )
+        self.pass3 = report.for_tree(self.pass3_tree).pass3.copy()
         return report

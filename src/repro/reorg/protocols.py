@@ -647,6 +647,7 @@ class ReorgProtocol:
                     old_root=old_root,
                     new_root=new_root,
                     old_lock_name=old_lock_name,
+                    tree_name=self.tree_name,
                 )
             )
             db.log.flush()
@@ -695,9 +696,9 @@ class ReorgProtocol:
         )
 
         def finish():
-            db.log.append(ReorgDoneRecord())
+            db.log.append(ReorgDoneRecord(tree_name=self.tree_name))
             db.log.flush()
-            _clear_pass3(db, shrinker)
+            db.pass3.clear()
 
         yield Call(finish)
         yield Release(tree_lock(old_lock_name), X)
@@ -709,14 +710,6 @@ def _flip_root(db: Database, tree: BPlusTree, new_root: PageId) -> None:
     _bump_lock_name(db, tree.name)
     tree.set_root(new_root)
     db.store.disk.del_meta(f"root:{tree.name}.new")
-
-
-def _clear_pass3(db: Database, shrinker: TreeShrinker) -> None:
-    db.pass3.reorg_bit = False
-    db.pass3.stable_key = None
-    db.pass3.new_root = -1
-    db.pass3.side_file_entries.clear()
-    shrinker.built_entries.clear()
 
 
 def full_reorganization(protocol: ReorgProtocol) -> Generator[Any, Any, dict]:

@@ -134,43 +134,46 @@ class Reorganizer:
         * If pass 3 was running (reorg bit set), its orphaned allocations
           are reclaimed and the scan restarts from the last stable key.
 
+        Only this tree's entry of the report is read, so in a sharded
+        forest each shard's reorganizer resumes its own work alone.
+
         Returns a partial report describing what was recovered; the caller
         decides whether to continue with the remaining passes (see
         :meth:`resume_after_crash` for the all-in-one variant).
         """
         report = ReorgReport()
-        for pending in recovery.pending_units:
+        mine = recovery.for_tree(self.tree.name)
+        for pending in mine.pending_units:
             # One unit under the paper's single-process configuration;
             # several with the parallel extension — each finished forward.
             report.forward_recovered_unit = self.engine.finish_unit(pending)
-        if recovery.reorg_bit and recovery.switch_pending is not None:
+        if not mine.pass3.reorg_bit:
+            return report
+        if mine.switch_pending is not None:
             # The switch had begun: finish it forward; no rebuilding.
             shrinker = TreeShrinker(self.db, self.tree, self.config)
-            old_root, new_root, old_lock_name = recovery.switch_pending
+            old_root, new_root, old_lock_name = mine.switch_pending
             shrinker.new_root = new_root
             switcher = Switcher(self.db, self.tree, shrinker, reorg_txn=self.txn)
             report.switch = switcher.finish_pending_switch(
                 old_root, new_root, old_lock_name
             )
             return report
-        if recovery.reorg_bit:
-            shrinker = TreeShrinker(self.db, self.tree, self.config)
-            resume = shrinker.restart_after_crash(
-                allocs_after_stable=list(recovery.allocs_after_stable)
-            )
-            scan_done = resume is not None and resume >= SCAN_DONE_KEY
-            report.pass3_resumed_from = None if scan_done else resume
-            shrinker.attach_listener()
-            try:
-                if not scan_done:
-                    shrinker.scan(None, resume_from=resume)
-                shrinker.build_upper()
-                shrinker.catch_up(None)
-                switcher = Switcher(
-                    self.db, self.tree, shrinker, reorg_txn=self.txn
-                )
-                report.switch = switcher.run()
-            finally:
-                shrinker.detach_listener()
-            report.pass3 = shrinker.stats
+        shrinker = TreeShrinker(self.db, self.tree, self.config)
+        resume = shrinker.restart_after_crash(
+            allocs_after_stable=list(mine.allocs_after_stable)
+        )
+        scan_done = resume is not None and resume >= SCAN_DONE_KEY
+        report.pass3_resumed_from = None if scan_done else resume
+        shrinker.attach_listener()
+        try:
+            if not scan_done:
+                shrinker.scan(None, resume_from=resume)
+            shrinker.build_upper()
+            shrinker.catch_up(None)
+            switcher = Switcher(self.db, self.tree, shrinker, reorg_txn=self.txn)
+            report.switch = switcher.run()
+        finally:
+            shrinker.detach_listener()
+        report.pass3 = shrinker.stats
         return report

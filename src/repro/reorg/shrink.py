@@ -60,6 +60,7 @@ from repro.wal.records import (
     AllocRecord,
     FreeRecord,
     InternalFormatRecord,
+    NEW_TREE_SUFFIX,
     StableKeyRecord,
 )
 
@@ -95,7 +96,7 @@ class TreeShrinker:
         self.db = db
         self.tree = tree
         self.config = config
-        self.side_file = SideFile(db)
+        self.side_file = SideFile(db, tree.name)
         self.stats = Pass3Stats()
         #: Closed new base pages so far: (low key, page id).
         self.built_entries: list[tuple[int, PageId]] = db.pass3.built_entries
@@ -172,6 +173,7 @@ class TreeShrinker:
 
     def attach_listener(self) -> None:
         self.db.pass3.reorg_bit = True
+        self.db.pass3_tree = self.tree.name
         self.tree.base_change_listener = self._on_base_change
 
     def detach_listener(self) -> None:
@@ -278,7 +280,14 @@ class TreeShrinker:
                 level=1,
                 page_id=self._place_internal(1, len(self.built_entries)),
             )
-            self.db.log.append(AllocRecord(page_id=page.page_id, kind="internal", level=1))
+            self.db.log.append(
+                AllocRecord(
+                    page_id=page.page_id,
+                    kind="internal",
+                    level=1,
+                    tree_name=self.tree.name,
+                )
+            )
             self._open_page = page
             self._open_entries = []
         self._open_entries.append((key, child))
@@ -315,6 +324,7 @@ class TreeShrinker:
             stable_key=self._current_key if self._current_key is not None else SCAN_DONE_KEY,
             new_root=self.new_root,
             built_entries=tuple(self.built_entries),
+            tree_name=self.tree.name,
         )
         self.db.log.append(record)
         self.db.log.flush()
@@ -342,6 +352,7 @@ class TreeShrinker:
                 start_level=2,
                 on_page_built=lambda page: built.append(page.page_id),
                 place=self._place_internal if self._plan is not None else None,
+                tree_name=self.tree.name,
             )
             self.stats.new_internal_pages += len(built)
             self._unforced_pages.extend(built)
@@ -353,6 +364,7 @@ class TreeShrinker:
             stable_key=SCAN_DONE_KEY,
             new_root=self.new_root,
             built_entries=tuple(self.built_entries),
+            tree_name=self.tree.name,
         )
         self.db.log.append(final)
         self.db.log.flush()
@@ -364,10 +376,12 @@ class TreeShrinker:
         return self.new_root
 
     def _scratch_name(self) -> str:
-        return f"root:{self.tree.name}.new"
+        return f"root:{self.tree.name}{NEW_TREE_SUFFIX}"
 
     def new_tree_handle(self) -> BPlusTree:
-        handle = BPlusTree(self.db.store, self.db.log, name=f"{self.tree.name}.new")
+        handle = BPlusTree(
+            self.db.store, self.db.log, name=f"{self.tree.name}{NEW_TREE_SUFFIX}"
+        )
         if self.db.store.disk.get_meta(self._scratch_name()) is None:
             raise ReorgError("new tree is not built yet")
         return handle

@@ -106,6 +106,7 @@ class Switcher:
                     old_root=stats.old_root,
                     new_root=stats.new_root,
                     old_lock_name=old_lock_name,
+                    tree_name=self.tree.name,
                 )
             )
             self.db.log.flush()
@@ -164,13 +165,9 @@ class Switcher:
         return stats
 
     def _clear_pass3_state(self) -> None:
-        self.db.log.append(ReorgDoneRecord())
+        self.db.log.append(ReorgDoneRecord(tree_name=self.tree.name))
         self.db.log.flush()
-        self.db.pass3.reorg_bit = False
-        self.db.pass3.stable_key = None
-        self.db.pass3.new_root = -1
-        self.db.pass3.side_file_entries.clear()
-        self.shrinker.built_entries.clear()
+        self.db.pass3.clear()
         self.shrinker.detach_listener()
 
     def _discard_internals_under(self, root: PageId) -> int:

@@ -165,6 +165,7 @@ class UnitEngine:
         unit_id = self._next_unit_id()
         begin = ReorgBeginRecord(
             unit_id=unit_id,
+            tree_name=self.tree.name,
             unit_type=unit_type,
             base_pages=(base_page,),
             leaf_pages=tuple(sources),
@@ -234,6 +235,7 @@ class UnitEngine:
         unit_id = self._next_unit_id()
         begin = ReorgBeginRecord(
             unit_id=unit_id,
+            tree_name=self.tree.name,
             unit_type=ReorgUnitType.COMPACT,
             base_pages=(base_page,),
             leaf_pages=tuple(sources),
@@ -648,6 +650,7 @@ class UnitEngine:
         bases = (base_a, base_b) if base_a != base_b else (base_a,)
         begin = ReorgBeginRecord(
             unit_id=unit_id,
+            tree_name=self.tree.name,
             unit_type=ReorgUnitType.SWAP,
             base_pages=bases,
             leaf_pages=(leaf_a, leaf_b),

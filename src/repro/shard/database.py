@@ -19,13 +19,14 @@ from __future__ import annotations
 import dataclasses
 
 from repro.config import ShardConfig, TreeConfig
-from repro.db import Database, Pass3State
+from repro.db import Database
 from repro.perf import PERF
 from repro.shard.handle import ShardHandle
 from repro.shard.router import ShardRouter
 from repro.shard.store import ShardStore
 from repro.storage.page import Record
 from repro.storage.store import INTERNAL_EXTENT, LEAF_EXTENT
+from repro.wal.progress import Pass3State
 from repro.wal.recovery import RecoveryReport, take_checkpoint
 
 
@@ -213,23 +214,12 @@ class ShardedDatabase:
 
     def checkpoint(self, active_txns: dict[int, int] | None = None) -> int:
         """Sharp checkpoint carrying every shard's pass-3 state."""
-        shard_pass3 = tuple(
-            (
-                h.tree_name,
-                h.pass3.reorg_bit,
-                h.pass3.stable_key,
-                h.pass3.new_root,
-                tuple(h.pass3.side_file_entries),
-                tuple(h.pass3.built_entries),
-            )
-            for h in self.handles
-        )
         return take_checkpoint(
             self._db.store,
             self.log,
             active_txns=active_txns,
             progress=self.progress,
-            shard_pass3=shard_pass3,
+            pass3={h.tree_name: h.pass3 for h in self.handles},
         )
 
     def flush(self) -> None:
@@ -257,25 +247,9 @@ class ShardedDatabase:
             )
 
     def recover(self, *, undo: bool = True) -> RecoveryReport:
-        """Redo + undo, then restore each shard's checkpointed pass-3 state.
-
-        Limitation (see ROADMAP open items): pass-3 state changes logged
-        *after* the checkpoint are replayed into the report's single global
-        fields, so a crash mid-pass-3 across several shards restores only
-        the checkpointed per-shard state, not the post-checkpoint log tail.
-        """
+        """Redo + undo, then restore each shard's pass-3 state from its
+        entry in the report."""
         report = self._db.recover(undo=undo)
         for handle in self.handles:
-            entry = report.shard_pass3.get(handle.tree_name)
-            if entry is None:
-                handle.pass3 = Pass3State()
-                continue
-            _name, reorg_bit, stable_key, new_root, side_file, built = entry
-            handle.pass3 = Pass3State(
-                reorg_bit=reorg_bit,
-                stable_key=stable_key,
-                new_root=new_root,
-                side_file_entries=list(side_file),
-                built_entries=list(built),
-            )
+            handle.pass3 = report.for_tree(handle.tree_name).pass3.copy()
         return report

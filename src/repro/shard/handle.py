@@ -5,11 +5,12 @@ A :class:`ShardHandle` duck-types the slice of
 (:class:`~repro.reorg.protocols.ReorgProtocol`,
 :class:`~repro.reorg.shrink.TreeShrinker`, ...) and the checkpoint
 machinery consume: ``config``, ``store``, ``log``, ``locks``,
-``progress``, ``pass3`` and ``tree()``.  The store is the shard's leased
-:class:`~repro.shard.store.ShardStore`; log, locks and progress are the
-shared instances; ``pass3`` is the shard's *own*
-:class:`~repro.db.Pass3State`, so each shard's side file, stable key and
-new-root bookkeeping evolve independently and are checkpointed per shard.
+``progress``, ``pass3``, ``pass3_tree`` and ``tree()``.  The store is the
+shard's leased :class:`~repro.shard.store.ShardStore`; log, locks and
+progress are the shared instances; ``pass3`` is the shard's *own*
+:class:`~repro.wal.progress.Pass3State`, so each shard's side file, stable
+key and new-root bookkeeping evolve independently and are checkpointed and
+recovered under the shard's tree name.
 
 All tree access goes through the shard's own store view — never through
 ``Database.tree()`` (enforced statically by the ``shard-router-only``
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 from repro.btree.tree import BPlusTree
 from repro.config import TreeConfig, gapped_leaf_fill
-from repro.db import Pass3State
 from repro.locks.manager import LockManager
 from repro.metrics import FragmentationStats, ShardStats
 from repro.shard.store import ShardStore
 from repro.storage.page import Record
 from repro.wal.log import LogManager
-from repro.wal.progress import ReorgProgressTable
+from repro.wal.progress import Pass3State, ReorgProgressTable
 
 
 class ShardHandle:
@@ -51,6 +51,9 @@ class ShardHandle:
         self.locks = locks
         self.progress = progress
         self.pass3 = Pass3State()
+        #: As on :class:`repro.db.Database`; a shard only ever runs pass 3
+        #: on its own tree.
+        self.pass3_tree = tree_name
         #: Names this shard's side file: shard switches X-lock
         #: ``sidefile_lock(tree_name)``, and shard updaters IX the same
         #: resource, so switch drains never entangle other shards.

@@ -27,9 +27,10 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ReorgError
+from repro.storage.page import PageId
 
 #: LK value meaning "no unit has finished yet": below every real key.
 NO_KEY_YET = -(2**62)
@@ -44,6 +45,40 @@ class ProgressSnapshot:
     recent_lsn: int  # of the single unit; 0 when none or ambiguous
     #: Parallel extension: every in-flight unit as (unit_id, begin, recent).
     units: tuple[tuple[int, int, int], ...] = ()
+
+
+@dataclass
+class Pass3State:
+    """One tree's pass-3 bookkeeping (sections 7.2-7.3).
+
+    Volatile in a running database, copied into checkpoints keyed by tree
+    name, and rebuilt per tree by recovery.
+    """
+
+    reorg_bit: bool = False
+    stable_key: int | None = None
+    new_root: PageId = -1
+    #: Live side-file entries (key, child, op); owned by the reorganizer's
+    #: SideFile object, mirrored here for checkpointing.
+    side_file_entries: list[tuple[int, PageId, str]] = field(default_factory=list)
+    #: New base pages closed so far by pass 3: (low key, page id).
+    built_entries: list[tuple[int, PageId]] = field(default_factory=list)
+
+    def copy(self) -> "Pass3State":
+        return replace(
+            self,
+            side_file_entries=list(self.side_file_entries),
+            built_entries=list(self.built_entries),
+        )
+
+    def clear(self) -> None:
+        """Pass 3 finished.  The lists are emptied in place: the side file
+        and the shrinker share them."""
+        self.reorg_bit = False
+        self.stable_key = None
+        self.new_root = -1
+        self.side_file_entries.clear()
+        self.built_entries.clear()
 
 
 class ReorgProgressTable:

@@ -28,6 +28,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.storage.page import PageId, Record
+from repro.wal.progress import Pass3State
 
 #: Transaction id reserved for redo-only structural actions.
 SYSTEM_TXN = 0
@@ -253,6 +254,10 @@ class AllocRecord(TxnRecord):
     page_id: PageId = 0
     kind: str = "leaf"
     level: int = 0
+    #: Tree an internal page was allocated for (not charged in
+    #: ``log_bytes``): recovery keeps each tree's internal allocations
+    #: after its last stable point.  Only internal allocations set it.
+    tree_name: str = "primary"
 
     def log_bytes(self) -> int:
         return super().log_bytes() + 2 * _INT_BYTES + len(self.kind)
@@ -300,6 +305,9 @@ class ReorgBeginRecord(ReorgRecord):
     #: Multi-output units (ReorgConfig.max_unit_output_pages > 1): every
     #: destination page, in key order.  Empty means (dest_page,).
     dest_pages: tuple[PageId, ...] = ()
+    #: Tree the unit reorganizes (not charged in ``log_bytes``), so
+    #: recovery hands each in-flight unit to its own tree.
+    tree_name: str = "primary"
 
     def all_dest_pages(self) -> tuple[PageId, ...]:
         return self.dest_pages if self.dest_pages else (self.dest_page,)
@@ -421,7 +429,14 @@ class ReorgEndRecord(ReorgRecord):
 
 # ---------------------------------------------------------------------------
 # Pass-3 records (sections 7.2-7.3)
+#
+# Each names the tree whose pass 3 it belongs to (``tree_name``, not charged
+# in ``log_bytes``): recovery rebuilds pass-3 state per tree.
 # ---------------------------------------------------------------------------
+
+#: Pass 3 registers the tree it builds as ``<name>.new`` until the switch;
+#: that tree's allocations belong to ``<name>``'s pass 3.
+NEW_TREE_SUFFIX = ".new"
 
 
 @dataclass
@@ -434,6 +449,7 @@ class SideFileInsertRecord(TxnRecord):
     key: int = 0
     child: PageId = -1
     op: str = "insert"
+    tree_name: str = "primary"
 
     def log_bytes(self) -> int:
         return super().log_bytes() + 2 * _INT_BYTES + len(self.op)
@@ -451,6 +467,7 @@ class SideFileApplyRecord(ReorgRecord):
     child: PageId = -1
     op: str = "insert"
     new_base_page: PageId = -1
+    tree_name: str = "primary"
 
     def log_bytes(self) -> int:
         return super().log_bytes() + 3 * _INT_BYTES + len(self.op)
@@ -471,6 +488,7 @@ class StableKeyRecord(ReorgRecord):
     stable_key: int = 0
     new_root: PageId = -1
     built_entries: tuple[tuple[int, PageId], ...] = ()
+    tree_name: str = "primary"
 
     def log_bytes(self) -> int:
         return (
@@ -493,6 +511,7 @@ class TreeSwitchRecord(ReorgRecord):
     old_root: PageId = -1
     new_root: PageId = -1
     old_lock_name: str = ""
+    tree_name: str = "primary"
 
     def log_bytes(self) -> int:
         return super().log_bytes() + 2 * _INT_BYTES + len(self.old_lock_name)
@@ -503,15 +522,17 @@ class ReorgDoneRecord(ReorgRecord):
     """Internal-page reorganization fully completed: the old upper levels
     were discarded and the reorganization bit cleared."""
 
+    tree_name: str = "primary"
+
 
 @dataclass
 class CheckpointRecord(LogRecord):
     """A sharp checkpoint: all dirty pages were flushed before appending.
 
     Carries the reorg progress table (section 5: "It will be copied to the
-    log checkpoint record"), the last pass-3 stable key and new-root
-    location (section 7.3), and the set of active transactions with their
-    most recent LSNs (for the undo pass).
+    log checkpoint record"), each tree's pass-3 state (section 7.3), and
+    the set of active transactions with their most recent LSNs (for the
+    undo pass).
     """
 
     active_txns: tuple[tuple[int, int], ...] = ()  # (txn_id, last_lsn)
@@ -520,31 +541,20 @@ class CheckpointRecord(LogRecord):
     progress: tuple[int, int, int] = (0, 0, 0)
     #: Parallel extension: every in-flight unit as (unit_id, begin, recent).
     progress_units: tuple[tuple[int, int, int], ...] = ()
-    stable_key: int | None = None
-    new_root: PageId = -1
-    reorg_bit: bool = False
-    #: Current side-file contents: (key, child, op) triples (section 7.2).
-    side_file: tuple[tuple[int, PageId, str], ...] = ()
-    #: New base pages closed so far by pass 3: (low key, page id).
-    pass3_built: tuple[tuple[int, PageId], ...] = ()
-    #: Sharded databases: per-shard pass-3 state as
-    #: (tree_name, reorg_bit, stable_key, new_root, side_file, built)
-    #: tuples.  Empty (zero log bytes) for unsharded databases, keeping
-    #: their checkpoint sizes identical to the pre-shard baselines.
-    shard_pass3: tuple = ()
+    #: (tree_name, state) per tree, the state a copy taken at checkpoint
+    #: time.  The tree name is not charged in ``log_bytes``.
+    pass3: tuple[tuple[str, Pass3State], ...] = ()
 
     def log_bytes(self) -> int:
         return (
             super().log_bytes()
             + 2 * _INT_BYTES * len(self.active_txns)
-            + 6 * _INT_BYTES
-            + 3 * _INT_BYTES * len(self.side_file)
-            + 2 * _INT_BYTES * len(self.pass3_built)
+            + 3 * _INT_BYTES
             + sum(
-                len(name)
-                + 4 * _INT_BYTES
-                + 3 * _INT_BYTES * len(side)
-                + 2 * _INT_BYTES * len(built)
-                for name, _bit, _sk, _nr, side, built in self.shard_pass3
+                # reorg bit, stable key, new root, side file, built pages
+                3 * _INT_BYTES
+                + 3 * _INT_BYTES * len(state.side_file_entries)
+                + 2 * _INT_BYTES * len(state.built_entries)
+                for _name, state in self.pass3
             )
         )

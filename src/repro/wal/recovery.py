@@ -12,20 +12,26 @@ performs redo + undo and reports everything forward recovery needs.
 
 Checkpoints here are *sharp*: :func:`take_checkpoint` flushes all dirty
 pages first, so redo starts at the last checkpoint record.  The checkpoint
-carries the reorg progress table (section 5), the pass-3 stable key and
-new-root location (section 7.3), the side-file contents (section 7.2) and
-the active-transaction table.
+carries the reorg progress table (section 5), each tree's pass-3 state
+(sections 7.2-7.3) and the active-transaction table; recovery rebuilds
+reorganization state per tree (:attr:`RecoveryReport.trees`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.storage.page import PageId
 from repro.storage.store import StorageManager
 from repro.wal.apply import MoveStash, apply_record, is_redoable
 from repro.wal.log import LogManager
-from repro.wal.progress import NO_KEY_YET, ProgressSnapshot, ReorgProgressTable
+from repro.wal.progress import (
+    NO_KEY_YET,
+    Pass3State,
+    ProgressSnapshot,
+    ReorgProgressTable,
+)
 from repro.wal.records import (
     AbortRecord,
     ReorgMoveInRecord,
@@ -38,6 +44,7 @@ from repro.wal.records import (
     LeafDeleteRecord,
     LeafInsertRecord,
     LogRecord,
+    NEW_TREE_SUFFIX,
     ReorgBeginRecord,
     ReorgEndRecord,
     ReorgDoneRecord,
@@ -67,8 +74,37 @@ class PendingReorgUnit:
     dest_page: PageId
     #: All destinations (multi-output extension); (dest_page,) otherwise.
     dest_pages: tuple[PageId, ...] = ()
+    #: The tree the unit reorganizes.
+    tree_name: str = "primary"
     #: The unit's log records in log order (BEGIN first).
     records: list[ReorgRecord] = field(default_factory=list)
+
+    @classmethod
+    def from_begin(cls, begin: ReorgBeginRecord) -> "PendingReorgUnit":
+        return cls(
+            unit_id=begin.unit_id,
+            unit_type=begin.unit_type,
+            base_pages=begin.base_pages,
+            leaf_pages=begin.leaf_pages,
+            dest_page=begin.dest_page,
+            dest_pages=begin.all_dest_pages(),
+            tree_name=begin.tree_name,
+        )
+
+
+@dataclass
+class TreeRecovery:
+    """What recovery rebuilt for one tree's reorganization."""
+
+    pass3: Pass3State = field(default_factory=Pass3State)
+    #: In-flight units of this tree, to be finished by forward recovery
+    #: (several with the parallel extension), in unit-id order.
+    pending_units: list[PendingReorgUnit] = field(default_factory=list)
+    #: Internal pages allocated after the last stable point — pass 3 may
+    #: deallocate these on restart (section 7.3).
+    allocs_after_stable: list[PageId] = field(default_factory=list)
+    #: Set when the switch had begun: (old_root, new_root, old_lock_name).
+    switch_pending: tuple[PageId, PageId, str] | None = None
 
 
 @dataclass
@@ -78,34 +114,25 @@ class RecoveryReport:
     redo_scanned: int = 0
     redo_applied: int = 0
     undone_txns: list[int] = field(default_factory=list)
-    #: In-flight reorganization units to be finished by forward recovery
-    #: (one under the paper's single-process configuration; several with
-    #: the parallel extension), in unit-id order.
-    pending_units: list[PendingReorgUnit] = field(default_factory=list)
     largest_finished_key: int = NO_KEY_YET
-    #: Pass-3 restart point (last stable key), or None if pass 3 was not
-    #: running / never reached a stable point.
-    stable_key: int | None = None
-    new_root: PageId = -1
-    reorg_bit: bool = False
-    #: Reconstructed side-file contents (key, child, op).
-    side_file: list[tuple[int, PageId, str]] = field(default_factory=list)
-    #: Internal pages allocated after the last stable point — pass 3 may
-    #: deallocate these on restart (section 7.3).
-    allocs_after_stable: list[PageId] = field(default_factory=list)
-    #: New base pages closed before the last stable point (low key, pid).
-    built_entries: list[tuple[int, PageId]] = field(default_factory=list)
-    #: Set when the switch had begun: (old_root, new_root, old_lock_name).
-    switch_pending: tuple[PageId, PageId, str] | None = None
-    #: Sharded databases: checkpointed per-shard pass-3 state, keyed by
-    #: shard tree name (raw checkpoint tuples; see
-    #: :meth:`repro.shard.ShardedDatabase.recover`).
-    shard_pass3: dict[str, tuple] = field(default_factory=dict)
+    #: Reorganization state per tree name.
+    trees: dict[str, TreeRecovery] = field(default_factory=dict)
+
+    def for_tree(self, name: str) -> TreeRecovery:
+        """``name``'s entry; an empty one if recovery saw nothing of it."""
+        return self.trees.get(name) or TreeRecovery()
+
+    @property
+    def pending_units(self) -> list[PendingReorgUnit]:
+        "Every tree's in-flight units, in unit-id order."
+        units = [u for tree in self.trees.values() for u in tree.pending_units]
+        return sorted(units, key=lambda u: u.unit_id)
 
     @property
     def pending_unit(self) -> PendingReorgUnit | None:
         "The single in-flight unit, if any (the paper's base configuration)."
-        return self.pending_units[0] if self.pending_units else None
+        units = self.pending_units
+        return units[0] if units else None
 
 
 def take_checkpoint(
@@ -114,14 +141,13 @@ def take_checkpoint(
     *,
     active_txns: dict[int, int] | None = None,
     progress: ReorgProgressTable | None = None,
-    stable_key: int | None = None,
-    new_root: PageId = -1,
-    reorg_bit: bool = False,
-    side_file: list[tuple[int, PageId, str]] | None = None,
-    pass3_built: list[tuple[int, PageId]] | None = None,
-    shard_pass3: tuple = (),
+    pass3: Mapping[str, Pass3State] | None = None,
 ) -> int:
-    """Take a sharp checkpoint; returns its LSN."""
+    """Take a sharp checkpoint; returns its LSN.
+
+    ``pass3`` maps each tree name to its live pass-3 state; the record
+    keeps a copy.
+    """
     store.flush_all()
     snapshot = (
         progress.snapshot()
@@ -136,12 +162,7 @@ def take_checkpoint(
             snapshot.recent_lsn,
         ),
         progress_units=snapshot.units,
-        stable_key=stable_key,
-        new_root=new_root,
-        reorg_bit=reorg_bit,
-        side_file=tuple(side_file or ()),
-        pass3_built=tuple(pass3_built or ()),
-        shard_pass3=tuple(shard_pass3),
+        pass3=tuple((name, state.copy()) for name, state in (pass3 or {}).items()),
     )
     lsn = log.append(record)
     log.flush()
@@ -171,14 +192,8 @@ class RecoveryManager:
             active.update(dict(checkpoint.active_txns))
             lk, begin_lsn, _recent = checkpoint.progress
             report.largest_finished_key = lk
-            report.stable_key = checkpoint.stable_key
-            report.new_root = checkpoint.new_root
-            report.reorg_bit = checkpoint.reorg_bit
-            report.side_file = list(checkpoint.side_file)
-            report.built_entries = list(checkpoint.pass3_built)
-            report.shard_pass3 = {
-                entry[0]: entry for entry in checkpoint.shard_pass3
-            }
+            for name, state in checkpoint.pass3:
+                report.trees[name] = TreeRecovery(pass3=state.copy())
             if checkpoint.progress_units:
                 for _uid, unit_begin, unit_recent in checkpoint.progress_units:
                     unit = self._reconstruct_unit_from(unit_begin, unit_recent)
@@ -213,7 +228,10 @@ class RecoveryManager:
             self._track_transactions(record, active, committed)
             self._track_reorg(record, report, units)
 
-        report.pending_units = [units[k] for k in sorted(units)]
+        for unit_id in sorted(units):
+            unit = units[unit_id]
+            tree = report.trees.setdefault(unit.tree_name, TreeRecovery())
+            tree.pending_units.append(unit)
 
         if undo:
             report.undone_txns = self._undo_incomplete(active, committed)
@@ -241,14 +259,7 @@ class RecoveryManager:
         """
         begin = self.log.get(begin_lsn)
         assert isinstance(begin, ReorgBeginRecord)
-        unit = PendingReorgUnit(
-            unit_id=begin.unit_id,
-            unit_type=begin.unit_type,
-            base_pages=begin.base_pages,
-            leaf_pages=begin.leaf_pages,
-            dest_page=begin.dest_page,
-            dest_pages=begin.all_dest_pages(),
-        )
+        unit = PendingReorgUnit.from_begin(begin)
         chain: list[ReorgRecord] = []
         cursor = max(recent_lsn, begin_lsn)
         while cursor >= begin_lsn and cursor > 0:
@@ -287,14 +298,7 @@ class RecoveryManager:
         units: dict[int, PendingReorgUnit],
     ) -> None:
         if isinstance(record, ReorgBeginRecord):
-            unit = PendingReorgUnit(
-                unit_id=record.unit_id,
-                unit_type=record.unit_type,
-                base_pages=record.base_pages,
-                leaf_pages=record.leaf_pages,
-                dest_page=record.dest_page,
-                dest_pages=record.all_dest_pages(),
-            )
+            unit = PendingReorgUnit.from_begin(record)
             unit.records.append(record)
             units[record.unit_id] = unit
             return
@@ -304,45 +308,48 @@ class RecoveryManager:
             )
             units.pop(record.unit_id, None)
             return
-        if isinstance(record, StableKeyRecord):
-            # The scan anchors a stable point at its very start, so seeing
-            # one means internal-page reorganization is in progress — the
-            # reorganization bit is re-derived from the log even when no
-            # checkpoint captured it.
-            report.reorg_bit = True
-            report.stable_key = record.stable_key
-            report.new_root = record.new_root
-            report.built_entries = list(record.built_entries)
-            report.allocs_after_stable.clear()
+        if isinstance(record, AllocRecord):
+            if record.kind == "internal":
+                owner = record.tree_name.removesuffix(NEW_TREE_SUFFIX)
+                tree = report.trees.setdefault(owner, TreeRecovery())
+                tree.allocs_after_stable.append(record.page_id)
             return
-        if isinstance(record, TreeSwitchRecord):
-            report.switch_pending = (
-                record.old_root, record.new_root, record.old_lock_name
-            )
-            return
-        if isinstance(record, ReorgDoneRecord):
-            report.switch_pending = None
-            report.reorg_bit = False
-            report.stable_key = None
-            report.new_root = -1
-            report.side_file.clear()
-            report.built_entries.clear()
-            return
-        if isinstance(record, AllocRecord) and record.kind == "internal":
-            report.allocs_after_stable.append(record.page_id)
-            return
-        if isinstance(record, SideFileInsertRecord):
-            report.side_file.append((record.key, record.child, record.op))
-            return
-        if isinstance(record, SideFileApplyRecord):
-            entry = (record.key, record.child, record.op)
-            if entry in report.side_file:
-                report.side_file.remove(entry)
+        if isinstance(record, (StableKeyRecord, TreeSwitchRecord, ReorgDoneRecord,
+                               SideFileInsertRecord, SideFileApplyRecord)):
+            tree = report.trees.setdefault(record.tree_name, TreeRecovery())
+            self._track_pass3(record, tree)
             return
         if isinstance(record, ReorgRecord):
             unit = units.get(record.unit_id)
             if unit is not None:
                 unit.records.append(record)
+
+    @staticmethod
+    def _track_pass3(record: LogRecord, tree: TreeRecovery) -> None:
+        state = tree.pass3
+        if isinstance(record, StableKeyRecord):
+            # The scan anchors a stable point at its very start, so seeing
+            # one means internal-page reorganization is in progress — the
+            # reorganization bit is re-derived from the log even when no
+            # checkpoint captured it.
+            state.reorg_bit = True
+            state.stable_key = record.stable_key
+            state.new_root = record.new_root
+            state.built_entries = list(record.built_entries)
+            tree.allocs_after_stable.clear()
+        elif isinstance(record, TreeSwitchRecord):
+            tree.switch_pending = (
+                record.old_root, record.new_root, record.old_lock_name
+            )
+        elif isinstance(record, ReorgDoneRecord):
+            tree.switch_pending = None
+            state.clear()
+        elif isinstance(record, SideFileInsertRecord):
+            state.side_file_entries.append((record.key, record.child, record.op))
+        elif isinstance(record, SideFileApplyRecord):
+            entry = (record.key, record.child, record.op)
+            if entry in state.side_file_entries:
+                state.side_file_entries.remove(entry)
 
     # -- undo -----------------------------------------------------------------
 

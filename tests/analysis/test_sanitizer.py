@@ -291,10 +291,12 @@ class TestLifecycle:
         assert Scheduler._step is step_before
         assert LockManager.request is request_before
 
-    def test_config_flag_installs(self):
+    def test_install_shadows_a_new_database(self):
         pre = sanitizer.active()
-        db = Database(TreeConfig(sanitizer=True))
+        if pre is None:
+            sanitizer.install()
         try:
+            db = Database(TreeConfig())
             assert sanitizer.active() is not None
             db.create_tree().insert(Record(1, "x"))
         finally:

@@ -207,7 +207,7 @@ class TestPass3Recovery:
         _, crashed = self.run_until_pass3_crash(db, crash_after, config)
         assert crashed
         recovery = crash_recover(db)
-        assert recovery.reorg_bit
+        assert recovery.trees["primary"].pass3.reorg_bit
         fresh = Reorganizer(db, db.tree(), config)
         report = fresh.forward_recover(recovery)
         assert report.switch is not None
@@ -251,14 +251,15 @@ class TestPass3Recovery:
             crashed = True
         assert crashed
         recovery = crash_recover(db)
-        assert recovery.switch_pending is not None
+        switch_pending = recovery.trees["primary"].switch_pending
+        assert switch_pending is not None
         fresh = Reorganizer(db, db.tree(), config)
         report = fresh.forward_recover(recovery)
         assert report.switch is not None
         tree = db.tree()
         tree.validate()
         assert [r.key for r in tree.items()] == expected_keys()
-        assert tree.root_id == recovery.switch_pending[1]
+        assert tree.root_id == switch_pending[1]
 
     def test_orphaned_new_pages_deallocated_on_restart(self):
         db = big_sparse_db()

@@ -6,7 +6,10 @@ import pytest
 
 from repro.config import ReorgConfig, ShardConfig, SidePointerKind, TreeConfig
 from repro.db import Database
+from repro.errors import CrashPoint
+from repro.reorg.reorganizer import Reorganizer
 from repro.shard import ParallelReorganizer, ShardedDatabase
+from repro.sim.crash import LogCrashInjector
 from repro.storage.page import Record
 
 
@@ -131,21 +134,67 @@ class TestShardedDurability:
         h1 = sdb.handle(1)
         h1.pass3.reorg_bit = True
         h1.pass3.stable_key = 777
-        h1.pass3.side_file_entries.append(("insert", 778, 1))
+        h1.pass3.side_file_entries.append((778, 1, "insert"))
         sdb.flush()
         sdb.checkpoint()
         sdb.crash()
-        assert h1.pass3.stable_key is None or h1.pass3.stable_key != 777
+        assert sdb.handle(1).pass3.stable_key is None
         report = sdb.recover()
-        assert sdb.handle(0).pass3.reorg_bit in (0, False)
+        assert not sdb.handle(0).pass3.reorg_bit
         assert sdb.handle(1).pass3.reorg_bit
         assert sdb.handle(1).pass3.stable_key == 777
-        assert list(sdb.handle(1).pass3.side_file_entries) == [
-            ("insert", 778, 1)
-        ]
-        assert set(report.shard_pass3) == {"shard0", "shard1"}
+        assert sdb.handle(1).pass3.side_file_entries == [(778, 1, "insert")]
+        assert set(report.trees) == {"shard0", "shard1"}
+        assert report.trees["shard1"].pass3.stable_key == 777
         merged = [r.key for r in sdb.range_scan(0, 1199)]
         assert merged == alive
+
+    def test_crash_anywhere_in_parallel_reorg_recovers_each_shard(
+        self, monkeypatch
+    ):
+        """Crash a two-shard parallel reorganization at every log append
+        of either shard's pass 3 and at a stride of the rest, then recover
+        each shard from the one report with no filtering by the caller."""
+        config = ReorgConfig(do_swap_pass=False)
+
+        def checkpointed():
+            sdb, alive = load_sharded(2)
+            sdb.flush()
+            sdb.checkpoint()
+            return sdb, alive
+
+        # A reference run marks the appends made while some shard's
+        # pass 3 holds its reorganization bit.
+        reference, _ = checkpointed()
+        in_pass3: list[bool] = []
+        append = reference.log.append
+
+        def marking_append(record):
+            in_pass3.append(any(h.pass3.reorg_bit for h in reference.handles))
+            return append(record)
+
+        monkeypatch.setattr(reference.log, "append", marking_append)
+        ParallelReorganizer(reference, config).run()
+        points = [
+            k for k, hot in enumerate(in_pass3, 1) if hot or k % 25 == 1
+        ]
+        assert sum(in_pass3) > 50
+
+        for k in points:
+            sdb, alive = checkpointed()
+            with pytest.raises(CrashPoint):
+                with LogCrashInjector(sdb.log, after_records=k):
+                    ParallelReorganizer(sdb, config).run()
+            sdb.crash()
+            report = sdb.recover()
+            for handle in sdb.handles:
+                Reorganizer(handle, handle.tree(), config).forward_recover(
+                    report
+                )
+            sdb.validate()
+            assert not any(h.pass3.reorg_bit for h in sdb.handles), k
+            merged = [(r.key, r.payload) for r in sdb.range_scan(0, 1199)]
+            assert merged == [(key, f"v{key}") for key in alive], k
 
     def test_crash_regrants_leases_on_rebuilt_map(self):
         sdb, _ = load_sharded(2)

@@ -102,8 +102,9 @@ def test_checkpoint_during_pass3_preserves_side_file_state():
     db.checkpoint()
     db.log.flush()
     recovery = crash_recover(db)
-    assert recovery.reorg_bit
-    assert recovery.stable_key is not None
+    pass3 = recovery.trees["primary"].pass3
+    assert pass3.reorg_bit
+    assert pass3.stable_key is not None
     Reorganizer(db, db.tree(), ReorgConfig()).forward_recover(recovery)
     tree = db.tree()
     tree.validate()

@@ -5,14 +5,21 @@ import pytest
 from repro.errors import LogError
 from repro.storage.page import Record
 from repro.wal.log import LogManager
+from repro.wal.progress import Pass3State
 from repro.wal.records import (
+    AllocRecord,
     CheckpointRecord,
     CommitRecord,
     LeafInsertRecord,
     ReorgBeginRecord,
+    ReorgDoneRecord,
     ReorgMoveOutRecord,
     ReorgSwapRecord,
     ReorgUnitType,
+    SideFileApplyRecord,
+    SideFileInsertRecord,
+    StableKeyRecord,
+    TreeSwitchRecord,
 )
 
 
@@ -183,6 +190,32 @@ class TestByteAccounting:
         )
         # Full contents of A dominate the size.
         assert swap.log_bytes() > sum(8 + 20 for _ in records)
+
+    def test_one_tree_checkpoint_keeps_its_historical_size(self):
+        state = Pass3State(True, 7, 3, [(1, 2, "insert")], [(0, 9), (5, 10)])
+        record = CheckpointRecord(
+            active_txns=((1, 5),), pass3=(("shard1", state),)
+        )
+        # header + one active txn + progress and three pass-3 ints + one
+        # side-file entry + two built pages; the tree name is free.
+        assert record.log_bytes() == 24 + 16 + 48 + 24 + 32
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda name: AllocRecord(page_id=3, kind="internal", tree_name=name),
+            lambda name: ReorgBeginRecord(unit_id=1, leaf_pages=(2,), tree_name=name),
+            lambda name: SideFileInsertRecord(key=4, child=5, tree_name=name),
+            lambda name: SideFileApplyRecord(key=4, child=5, tree_name=name),
+            lambda name: StableKeyRecord(
+                stable_key=9, built_entries=((0, 1),), tree_name=name
+            ),
+            lambda name: TreeSwitchRecord(old_lock_name="t@0", tree_name=name),
+            lambda name: ReorgDoneRecord(tree_name=name),
+        ],
+    )
+    def test_tree_names_are_not_charged(self, make):
+        assert make("a-much-longer-tree-name").log_bytes() == make("t").log_bytes()
 
     def test_stats_track_reorg_categories(self):
         log = LogManager()
