@@ -202,9 +202,12 @@ class BPlusTree:
     def range_scan(self, low: int, high: int) -> list[Record]:
         """All records with low <= key <= high, in key order.
 
-        Walks side pointers when the tree maintains them, otherwise
-        re-descends for each successor leaf; either way the disk I/O
-        counters capture the motivating cost (section 1).
+        Walks side pointers when the tree maintains them.  Without side
+        pointers (the default) and without readahead, the scan advances a
+        root-to-leaf cursor (:meth:`_cursor_scan`): one descent to the leaf
+        for ``low``, then each next leaf costs a parent fetch plus the leaf
+        itself instead of a fresh descent from the root.  Either way the
+        disk I/O counters capture the motivating cost (section 1).
 
         With ``readahead_pages`` > 0 the scan prefetches upcoming leaves a
         base page at a time: the parent level (in memory, as the paper
@@ -212,11 +215,14 @@ class BPlusTree:
         read as one batch instead of a seek per leaf.  In a degraded tree
         the leaves are scattered and the batch sweep is the whole win;
         after reorganization they are contiguous and the batch degenerates
-        to the sequential reads the scan pays anyway.
+        to the sequential reads the scan pays anyway.  That path finds each
+        next leaf by :meth:`successor_leaf_id` when side pointers are off.
         """
         if high < low:
             return []
         readahead = self.store.config.readahead_pages > 0
+        if not readahead and self.side_pointers is SidePointerKind.NONE:
+            return self._cursor_scan(low, high)
         out: list[Record] = []
         if readahead:
             path = self.path_to_leaf(low)
@@ -242,6 +248,45 @@ class BPlusTree:
                 leaves_before_refill -= 1
             leaf = self.store.get_leaf(next_id)
 
+    def _cursor_scan(self, low: int, high: int) -> list[Record]:
+        """Range scan over a tree without side pointers, by a leaf cursor.
+
+        The cursor is a stack of ``[page id, child index]``, one per
+        internal level, from a single descent towards ``low`` (routed by
+        ``child_index_for``, so under-minimum keys take the leftmost
+        child).  A leaf step increments the index at the top of the stack,
+        popping exhausted levels, then descends leftmost into the new
+        subtree.  Only ids are held: each step re-fetches the parent
+        through the buffer pool, so children are read from the live frame
+        and the parent keeps its place in the LRU order.  Empty leaves
+        (a lone empty root) simply contribute nothing.
+        """
+        get = self.store.get
+        stack: list[list[int]] = []
+        page = get(self.root_id)
+        while page.kind is PageKind.INTERNAL:
+            index = page.child_index_for(low)  # type: ignore[union-attr]
+            stack.append([page.page_id, index])
+            page = get(page.child_at(index))  # type: ignore[union-attr,arg-type]
+        out: list[Record] = []
+        while True:
+            out.extend(page.records_in_range(low, high))  # type: ignore[union-attr]
+            if not page.is_empty and page.max_key() > high:  # type: ignore[union-attr]
+                return out
+            while stack:
+                top = stack[-1]
+                top[1] += 1
+                child = get(top[0]).child_at(top[1])  # type: ignore[union-attr]
+                if child is not None:
+                    break
+                stack.pop()
+            else:
+                return out
+            page = get(child)
+            while page.kind is PageKind.INTERNAL:
+                stack.append([page.page_id, 0])
+                page = get(page.child_at(0))  # type: ignore[union-attr,arg-type]
+
     def _prefetch_base_leaves(
         self, base_id: PageId | None, *, after_leaf: PageId | None = None
     ) -> int:
@@ -262,11 +307,6 @@ class BPlusTree:
             upcoming = children
         self.store.prefetch(upcoming)
         return len(upcoming)
-
-    def _next_leaf_id(self, leaf: LeafPage) -> PageId:
-        if self.side_pointers is not SidePointerKind.NONE:
-            return leaf.next_leaf
-        return self._next_leaf_by_descent(leaf)
 
     def _next_leaf_by_descent(self, leaf: LeafPage) -> PageId:
         """Successor leaf via the tree: the leftmost leaf of the first

@@ -138,6 +138,10 @@ class BufferPool:
         #: source page id -> set of destination page ids that must be
         #: durable before the source may be written or deallocated.
         self._write_before: dict[PageId, set[PageId]] = {}
+        #: The same edges indexed by destination (dest -> sources), so a
+        #: page becoming durable visits only the sources that wait on it
+        #: instead of every source with pending edges.
+        self._sources_of: dict[PageId, set[PageId]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -299,6 +303,7 @@ class BufferPool:
         if source == dest:
             raise CarefulWriteViolation("a page cannot depend on itself")
         self._write_before.setdefault(source, set()).add(dest)
+        self._sources_of.setdefault(dest, set()).add(source)
 
     def pending_dependencies(self, source: PageId) -> set[PageId]:
         return set(self._write_before.get(source, ()))
@@ -315,18 +320,23 @@ class BufferPool:
             dests.discard(dest)
             if not dests:
                 del self._write_before[source]
+        sources = self._sources_of.get(dest)
+        if sources is not None:
+            sources.discard(source)
+            if not sources:
+                del self._sources_of[dest]
 
     def _clear_dependencies_on(self, dest: PageId) -> None:
         """``dest`` became durable; drop edges pointing at it."""
-        if not self._write_before:
+        sources = self._sources_of.pop(dest, None)
+        if not sources:
             return
-        empty_sources = []
-        for source, dests in self._write_before.items():
+        write_before = self._write_before
+        for source in sources:
+            dests = write_before[source]
             dests.discard(dest)
             if not dests:
-                empty_sources.append(source)
-        for source in empty_sources:
-            del self._write_before[source]
+                del write_before[source]
 
     # -- writing ---------------------------------------------------------------
 
@@ -411,9 +421,10 @@ class BufferPool:
         stable image).
         """
         frame = self._frames.get(page_id)
+        # Each flush clears that destination's edges, ours among them, so
+        # the page leaves no outgoing edge behind.
         for dest in sorted(self.pending_dependencies(page_id)):
             self._flush_page(dest)
-        self._write_before.pop(page_id, None)
         if frame is not None:
             if frame.pins > 0:
                 raise PagePinnedError(f"cannot drop pinned page {page_id}")
@@ -434,6 +445,7 @@ class BufferPool:
         self._frames.clear()
         self._mru_id = None
         self._write_before.clear()
+        self._sources_of.clear()
 
     # -- internals -------------------------------------------------------------
 

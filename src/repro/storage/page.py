@@ -344,6 +344,14 @@ class InternalPage(Page):
     def children(self) -> list[PageId]:
         return list(self._children)
 
+    def child_at(self, index: int) -> Optional[PageId]:
+        """The child at ``index``, or None past the last entry.
+
+        Lets a scan cursor step to the next child without copying the
+        whole child list the way :meth:`children` does."""
+        children = self._children
+        return children[index] if index < len(children) else None
+
     def min_key(self) -> int:
         if not self._keys:
             raise BTreeError(f"internal page {self.page_id} is empty; no min key")

@@ -27,3 +27,9 @@ def test_benchmarks_and_examples_lint_clean():
     # bar as the library; CI lints them with the same invocation.
     findings = lint_paths(["benchmarks", "examples"], root=REPO_ROOT)
     assert findings == [], "\n".join(str(f) for f in findings)
+
+
+def test_perfbench_lint_clean():
+    # The repository benchmark is linted like the code it measures.
+    findings = lint_paths(["perfbench"], root=REPO_ROOT)
+    assert findings == [], "\n".join(str(f) for f in findings)

@@ -5,6 +5,7 @@ import pytest
 from repro.btree.tree import BPlusTree
 from repro.config import SidePointerKind
 from repro.errors import BTreeError, KeyNotFoundError
+from repro.perf import PERF
 from repro.storage.page import NO_PAGE, PageKind, Record
 from repro.txn.transaction import Transaction
 
@@ -202,6 +203,42 @@ class TestRangeScan:
     def test_scan_empty_tree(self):
         tree = make_tree()
         assert tree.range_scan(0, 10) == []
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("low,high", [(40, 52), (100, 900), (-10, 5000)])
+    def test_scan_fetches_bounded_by_height_plus_three_per_leaf(
+        self, sparse, low, high
+    ):
+        """Without side pointers a scan descends once and then steps a
+        cursor: at most ``height + 3k`` buffer fetches for k leaves, where
+        re-descending from the root pays ``height + 2`` per leaf."""
+        tree = make_tree(leaf_capacity=4, internal_capacity=8)
+        fill_tree(tree, range(0, 1200, 2))
+        if sparse:
+            # Free-at-empty never merges: one record per leaf is the
+            # sparsest a leaf gets without being freed.
+            for leaf_id in tree.leaf_ids_in_key_order():
+                leaf = tree.store.get_leaf(leaf_id)
+                for key in [r.key for r in leaf.records][1:]:
+                    tree.delete(key)
+        height = tree.height()
+        assert height >= 3
+        leaf_ids = tree.leaf_ids_in_key_order()
+        first = leaf_ids.index(tree.path_to_leaf(low)[-1])
+        touched = 0
+        for leaf_id in leaf_ids[first:]:
+            touched += 1
+            leaf = tree.store.get_leaf(leaf_id)
+            if not leaf.is_empty and leaf.max_key() > high:
+                break
+        expected = [r.key for r in tree.items() if low <= r.key <= high]
+        counters = PERF.counters
+        before = counters.buffer_hits + counters.buffer_misses
+        got = [r.key for r in tree.range_scan(low, high)]
+        fetches = counters.buffer_hits + counters.buffer_misses - before
+        assert got == expected
+        assert touched >= 2
+        assert fetches <= height + 3 * touched, (fetches, height, touched)
 
 
 class TestSidePointers:

@@ -6,7 +6,7 @@ model on content, order, and range queries.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.btree.bulkload import bulk_load
@@ -68,6 +68,68 @@ def test_range_scan_matches_model(ops, low, high):
             model.discard(key)
     expected = sorted(k for k in model if low <= k <= high)
     assert [r.key for r in tree.range_scan(low, high)] == expected
+
+
+SCAN_KEYS = st.integers(min_value=0, max_value=400)
+SCAN_BOUNDS = st.lists(
+    st.tuples(
+        st.integers(min_value=-60, max_value=460),
+        st.integers(min_value=-60, max_value=460),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    loaded=st.lists(SCAN_KEYS, unique=True, max_size=150),
+    cut=st.tuples(SCAN_KEYS, SCAN_KEYS),
+    victims=st.lists(SCAN_KEYS, max_size=40),
+    below=st.lists(
+        st.integers(min_value=-50, max_value=-1), unique=True, max_size=8
+    ),
+    bounds=SCAN_BOUNDS,
+    side=SIDE_KINDS,
+)
+# The empty tree, a leaf root, and a scan with high < low.
+@example(loaded=[], cut=(0, 0), victims=[], below=[], bounds=[(0, 10), (5, 1)],
+         side=SidePointerKind.NONE)
+@example(loaded=[3, 1, 2], cut=(0, 0), victims=[], below=[-1],
+         bounds=[(-5, 2), (2, 2), (9, -9)], side=SidePointerKind.NONE)
+def test_range_scan_after_free_at_empty_matches_model(
+    loaded, cut, victims, below, bounds, side
+):
+    """Scans over a tree whose leaves and internal pages were freed at
+    empty, and whose minimum was pushed down, return the model's slice."""
+    store, log = make_env(
+        leaf_capacity=4, internal_capacity=4, side_pointers=side
+    )
+    tree = BPlusTree.create(store, log)
+    model: dict[int, str] = {}
+    for key in loaded:
+        tree.insert(Record(key, f"v{key}"))
+        model[key] = f"v{key}"
+    # A contiguous run of deletions empties whole leaves and, with four
+    # entries per internal page, whole subtrees above them.
+    first, last = min(cut), max(cut)
+    for key in sorted(model):
+        if first <= key <= last:
+            tree.delete(key)
+            del model[key]
+    for key in victims:
+        if key in model:
+            tree.delete(key)
+            del model[key]
+    # Descending, so each insert lands below the current tree minimum.
+    for key in sorted(below, reverse=True):
+        tree.insert(Record(key, f"v{key}"))
+        model[key] = f"v{key}"
+    tree.validate()
+    for low, high in bounds:
+        expected = [(k, model[k]) for k in sorted(model) if low <= k <= high]
+        got = [(r.key, r.payload) for r in tree.range_scan(low, high)]
+        assert got == expected, (low, high)
 
 
 @settings(max_examples=40, deadline=None)

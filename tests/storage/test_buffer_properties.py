@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CarefulWriteViolation
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import Extent, SimulatedDisk
 from repro.storage.page import LeafPage, Record
@@ -120,3 +121,67 @@ def test_careful_writing_chain_order_always_respected(chain):
     positions = {pid: i for i, pid in enumerate(writes)}
     for earlier, later in zip(chain, chain[1:]):
         assert positions[earlier] < positions[later]
+
+
+DEPENDENCY_ACTIONS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["depend", "depend", "undo", "dirty", "flush", "drop", "crash"]
+        ),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(actions=DEPENDENCY_ACTIONS)
+def test_destination_index_mirrors_write_before_edges(actions):
+    """The dest -> sources index that lets a write clear only the edges
+    into the written page stays the exact inverse of the edge map through
+    every way an edge appears or goes: added, undone, cleared by a write
+    (direct, recursive, by eviction or before a drop), crashed."""
+    disk = SimulatedDisk([Extent("leaf", 0, 16)])
+    pool = BufferPool(disk, 4, wal=CountingWAL())
+    live: set[int] = set()
+    lsn = 0
+    for action, page, other in actions:
+        try:
+            if action == "depend" and page != other:
+                pool.add_write_dependency(source=page, dest=other)
+            elif action == "undo":
+                edges = sorted(
+                    (source, dest)
+                    for source, dests in pool._write_before.items()
+                    for dest in dests
+                )
+                if edges:
+                    source, dest = edges[(8 * page + other) % len(edges)]
+                    pool.remove_write_dependency(source=source, dest=dest)
+            elif action == "dirty":
+                if page not in live:
+                    pool.put_new(LeafPage(page, 4))
+                    live.add(page)
+                pool.fetch(page)
+                lsn += 1
+                pool.mark_dirty(page, lsn=lsn)
+            elif action == "flush":
+                pool.flush_page(page)
+            elif action == "drop" and page in live:
+                pool.drop(page)
+                disk.erase(page)
+                live.discard(page)
+            elif action == "crash":
+                pool.crash()
+                live = {p for p in live if disk.has_image(p)}
+        except CarefulWriteViolation:
+            pass  # a cycle of edges: refused, and the maps stay consistent
+        inverse: dict[int, set[int]] = {}
+        for source, dests in pool._write_before.items():
+            assert dests, "a source with no edges must be removed"
+            for dest in dests:
+                inverse.setdefault(dest, set()).add(source)
+        assert pool._sources_of == inverse
